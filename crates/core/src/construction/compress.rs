@@ -7,15 +7,71 @@
 
 use crate::construction::address_graph::{AddressGraph, Edge, Node, NodeKind, Side};
 use crate::construction::sfe::sfe;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
-/// Distinct transaction nodes each address-like node touches.
-fn tx_sets(g: &AddressGraph) -> HashMap<usize, BTreeSet<usize>> {
-    let mut sets: HashMap<usize, BTreeSet<usize>> = HashMap::new();
-    for e in &g.edges {
-        sets.entry(e.addr_node).or_default().insert(e.tx_node);
+/// Marks "no entry" in the dense node-indexed lookups below.
+const NONE: usize = usize::MAX;
+
+/// The distinct transaction nodes each node touches, in CSR form: node
+/// `n`'s transactions are `tx[start[n]..start[n + 1]]`, ascending. Nodes
+/// without edges (transaction nodes among them) get an empty list.
+#[derive(Clone, Debug)]
+pub struct NodeTxs {
+    start: Vec<usize>,
+    tx: Vec<usize>,
+}
+
+impl NodeTxs {
+    /// Collect every node's distinct transactions from the graph's edges.
+    pub fn of(g: &AddressGraph) -> Self {
+        let n = g.nodes.len();
+        let (mut start, mut tx) = bucket(n, g.edges.iter().map(|e| (e.addr_node, e.tx_node)));
+        // Edge order is not relied upon (compressed graphs append hyper
+        // edges after the kept ones): sort and dedup each row, compacting
+        // in place. The write cursor never passes the row being read.
+        let mut w = 0;
+        for i in 0..n {
+            let (s, e) = (start[i], start[i + 1]);
+            start[i] = w;
+            tx[s..e].sort_unstable();
+            for k in s..e {
+                if k == s || tx[k] != tx[k - 1] {
+                    tx[w] = tx[k];
+                    w += 1;
+                }
+            }
+        }
+        start[n] = w;
+        tx.truncate(w);
+        Self { start, tx }
     }
-    sets
+
+    /// Distinct transaction nodes of node `n`, ascending.
+    pub fn get(&self, n: usize) -> &[usize] {
+        &self.tx[self.start[n]..self.start[n + 1]]
+    }
+}
+
+/// Bucket `(row, item)` pairs by row, keeping their order within a row, in
+/// CSR form: row r's items are `items[start[r]..start[r + 1]]`.
+fn bucket(
+    rows: usize,
+    pairs: impl Iterator<Item = (usize, usize)> + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut start = vec![0usize; rows + 1];
+    for (r, _) in pairs.clone() {
+        start[r + 1] += 1;
+    }
+    for r in 0..rows {
+        start[r + 1] += start[r];
+    }
+    let mut next = start.clone();
+    let mut items = vec![0usize; start[rows]];
+    for (r, item) in pairs {
+        items[next[r]] = item;
+        next[r] += 1;
+    }
+    (start, items)
 }
 
 /// Merge the given groups of address nodes into hyper nodes of `hyper_kind`,
@@ -25,24 +81,24 @@ fn rebuild_with_merges(
     groups: &[Vec<usize>],
     hyper_kind: NodeKind,
 ) -> AddressGraph {
-    let mut group_of: HashMap<usize, usize> = HashMap::new();
+    let mut group_of = vec![NONE; g.nodes.len()];
     for (gi, group) in groups.iter().enumerate() {
         for &n in group {
             debug_assert!(
                 g.nodes[n].is_address_like() && n != 0,
                 "cannot merge focus/tx nodes"
             );
-            let prev = group_of.insert(n, gi);
-            debug_assert!(prev.is_none(), "node in two merge groups");
+            debug_assert_eq!(group_of[n], NONE, "node in two merge groups");
+            group_of[n] = gi;
         }
     }
 
     // Kept nodes keep their relative order; hyper nodes are appended.
-    let mut new_index: Vec<Option<usize>> = vec![None; g.nodes.len()];
+    let mut new_index = vec![NONE; g.nodes.len()];
     let mut nodes: Vec<Node> = Vec::with_capacity(g.nodes.len());
     for (i, n) in g.nodes.iter().enumerate() {
-        if !group_of.contains_key(&i) {
-            new_index[i] = Some(nodes.len());
+        if group_of[i] == NONE {
+            new_index[i] = nodes.len();
             nodes.push(n.clone());
         }
     }
@@ -59,18 +115,16 @@ fn rebuild_with_merges(
     let mut hyper_edges: BTreeMap<(usize, usize, bool), f64> = BTreeMap::new();
     let mut hyper_values: Vec<Vec<f64>> = vec![Vec::new(); groups.len()];
     for e in &g.edges {
-        let tx = new_index[e.tx_node].expect("tx nodes are never merged");
-        match group_of.get(&e.addr_node) {
-            None => {
-                let a = new_index[e.addr_node].expect("kept node");
-                edges.push(Edge {
-                    addr_node: a,
-                    tx_node: tx,
-                    value: e.value,
-                    side: e.side,
-                });
-            }
-            Some(&gi) => {
+        let tx = new_index[e.tx_node];
+        debug_assert_ne!(tx, NONE, "tx nodes are never merged");
+        match group_of[e.addr_node] {
+            NONE => edges.push(Edge {
+                addr_node: new_index[e.addr_node],
+                tx_node: tx,
+                value: e.value,
+                side: e.side,
+            }),
+            gi => {
                 let key = (hyper_index[gi], tx, e.side == Side::Input);
                 *hyper_edges.entry(key).or_insert(0.0) += e.value;
                 hyper_values[gi].push(e.value);
@@ -114,23 +168,21 @@ fn rebuild_with_merges(
 /// address is never merged. Groups of one are left unmerged (nothing to
 /// compress).
 pub fn compress_single_tx(g: &AddressGraph) -> AddressGraph {
-    let sets = tx_sets(g);
-    // Side of each single-tx node = side of its first edge (a node with edges
-    // on both sides of one tx joins the input-side group).
-    let mut side_of: HashMap<usize, Side> = HashMap::new();
+    let txs = NodeTxs::of(g);
+    // Side of each node = side of its first edge (a node with edges on both
+    // sides of one tx joins the input-side group).
+    let mut side_of: Vec<Option<Side>> = vec![None; g.nodes.len()];
     for e in &g.edges {
-        side_of.entry(e.addr_node).or_insert(e.side);
+        side_of[e.addr_node].get_or_insert(e.side);
     }
     let mut groups: BTreeMap<(usize, bool), Vec<usize>> = BTreeMap::new();
-    for (i, n) in g.nodes.iter().enumerate() {
-        if i == 0 || n.kind != NodeKind::Address {
+    for (i, n) in g.nodes.iter().enumerate().skip(1) {
+        if n.kind != NodeKind::Address {
             continue;
         }
-        let Some(txs) = sets.get(&i) else { continue };
-        if txs.len() == 1 {
-            let tx = *txs.iter().next().expect("non-empty");
-            let side = side_of.get(&i).copied().unwrap_or(Side::Output);
-            groups.entry((tx, side == Side::Input)).or_default().push(i);
+        if let &[tx] = txs.get(i) {
+            let is_input = side_of[i] == Some(Side::Input);
+            groups.entry((tx, is_input)).or_default().push(i);
         }
     }
     let merge_groups: Vec<Vec<usize>> = groups.into_values().filter(|g| g.len() >= 2).collect();
@@ -160,88 +212,104 @@ impl Default for MultiCompressParams {
 /// slice, computes the co-occurrence matrix S = AAᵀ, column-normalises
 /// M = SD⁻¹ (D = diag(S)), thresholds Q = ReLU(M − Ψ), and greedily merges
 /// each high-similarity neighbourhood into a multi-transaction hyper node
-/// (paper Fig. 4, Eq. 3–7). S is computed sparsely per shared transaction —
-/// this is the dominant construction cost the paper reports (Table V,
-/// Stage 3 ≈ 62%).
+/// (paper Fig. 4, Eq. 3–7). This is the dominant construction cost the
+/// paper reports (Table V, Stage 3 ≈ 62%).
+///
+/// S is built one row at a time (Gustavson's sparse AAᵀ): row i walks the
+/// transactions of candidate i and, for each, that transaction's candidate
+/// members, adding `u32` co-occurrence counts into one dense accumulator
+/// whose touched entries are thresholded and then reset. S is symmetric, so
+/// the sizing pass accumulates only the upper triangle and credits both
+/// m_ij and m_ji; a seed's full row is re-accumulated when the greedy merge
+/// needs its neighbourhood. Every s_ij and s_jj is a small integer, so
+/// `s_ij / s_jj` is exactly the f64 a floating-point accumulation in any
+/// order would give: the neighbourhoods, and hence the output, do not
+/// depend on the summation order.
 pub fn compress_multi_tx(g: &AddressGraph, params: MultiCompressParams) -> AddressGraph {
-    let sets = tx_sets(g);
+    let txs = NodeTxs::of(g);
     // Candidate nodes: plain multi-transaction counterparties.
-    let multi: Vec<usize> = g
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|&(i, n)| {
-            i != 0 && n.kind == NodeKind::Address && sets.get(&i).is_some_and(|s| s.len() >= 2)
-        })
-        .map(|(i, _)| i)
+    let multi: Vec<usize> = (1..g.nodes.len())
+        .filter(|&i| g.nodes[i].kind == NodeKind::Address && txs.get(i).len() >= 2)
         .collect();
     if multi.len() < 2 {
         return g.clone();
     }
-    let pos: HashMap<usize, usize> = multi.iter().enumerate().map(|(p, &n)| (n, p)).collect();
-
-    // Sparse S = AAᵀ: accumulate co-occurrence via each transaction's
-    // adjacent multi-address list.
-    let mut per_tx: HashMap<usize, Vec<usize>> = HashMap::new();
-    for &n in &multi {
-        for &tx in &sets[&n] {
-            per_tx.entry(tx).or_default().push(pos[&n]);
-        }
-    }
     let n = multi.len();
-    let mut s: Vec<HashMap<usize, f64>> = vec![HashMap::new(); n];
-    for members in per_tx.values() {
-        for (a_i, &a) in members.iter().enumerate() {
-            for &b in &members[a_i + 1..] {
-                *s[a].entry(b).or_insert(0.0) += 1.0;
-                *s[b].entry(a).or_insert(0.0) += 1.0;
-            }
-        }
-    }
-    let diag: Vec<f64> = multi.iter().map(|&node| sets[&node].len() as f64).collect();
 
-    // q_i = { j : m_ij > Ψ }, with M = S·D⁻¹ (m_ij = s_ij / s_jj). The
-    // paper's worked example divides by the *other* node's degree, matching
-    // this column normalisation.
-    let neighbourhoods: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            let mut q: Vec<usize> = s[i]
-                .iter()
-                .filter(|&(&j, &sij)| sij / diag[j] > params.psi)
-                .map(|(&j, _)| j)
-                .collect();
-            q.sort_unstable();
-            q
-        })
+    // Each transaction's candidate members (positions in `multi`,
+    // ascending): tx's members are `members[start[tx]..start[tx + 1]]`.
+    let incidences = multi
+        .iter()
+        .enumerate()
+        .flat_map(|(p, &node)| txs.get(node).iter().map(move |&tx| (tx, p)));
+    let (start, members) = bucket(g.nodes.len(), incidences);
+    let diag: Vec<u32> = multi
+        .iter()
+        .map(|&node| txs.get(node).len() as u32)
         .collect();
 
+    // q_i = { j ≠ i : m_ij > Ψ }, with M = S·D⁻¹ (m_ij = s_ij / s_jj). The
+    // paper's worked example divides by the *other* node's degree, matching
+    // this column normalisation. Only |q_i| is kept here.
+    let similar = |s_ij: u32, s_jj: u32| f64::from(s_ij) / f64::from(s_jj) > params.psi;
+    let mut count = vec![0u32; n];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut degree = vec![0usize; n];
+    for (i, &node) in multi.iter().enumerate() {
+        for &tx in txs.get(node) {
+            let row = &members[start[tx]..start[tx + 1]];
+            let after_i = row.partition_point(|&j| j <= i);
+            accumulate(&row[after_i..], &mut count, &mut touched);
+        }
+        for j in touched.drain(..) {
+            degree[i] += usize::from(similar(count[j], diag[j]));
+            degree[j] += usize::from(similar(count[j], diag[i]));
+            count[j] = 0;
+        }
+    }
+
     // Greedy merge: highest-degree-of-similarity seeds first (deterministic
-    // tie-break on index).
+    // tie-break on index). A seed's group is sorted, so the order in which
+    // its re-accumulated row enumerates q_i does not matter.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(neighbourhoods[i].len()), i));
+    order.sort_by_key(|&i| (std::cmp::Reverse(degree[i]), i));
     let mut merged = vec![false; n];
     let mut merge_groups: Vec<Vec<usize>> = Vec::new();
     for &i in &order {
-        if merged[i] || neighbourhoods[i].len() <= params.sigma {
+        if merged[i] || degree[i] <= params.sigma {
             continue;
+        }
+        for &tx in txs.get(multi[i]) {
+            accumulate(&members[start[tx]..start[tx + 1]], &mut count, &mut touched);
         }
         let mut group = vec![multi[i]];
         merged[i] = true;
-        for &j in &neighbourhoods[i] {
-            if !merged[j] {
+        for j in touched.drain(..) {
+            if !merged[j] && similar(count[j], diag[j]) {
                 merged[j] = true;
                 group.push(multi[j]);
             }
+            count[j] = 0;
         }
+        // A seed whose neighbours were all taken stays merged-alone: it
+        // keeps its identity.
         if group.len() >= 2 {
             group.sort_unstable();
             merge_groups.push(group);
         }
-        // A seed whose neighbours were all taken stays merged-alone: it keeps
-        // its identity (group of one is dropped below).
     }
-    let merge_groups: Vec<Vec<usize>> = merge_groups.into_iter().filter(|g| g.len() >= 2).collect();
     rebuild_with_merges(g, &merge_groups, NodeKind::MultiHyper)
+}
+
+/// One transaction's contribution to a row of S: add a co-occurrence to
+/// `count[j]` for every member j, recording first touches for the reset.
+fn accumulate(members: &[usize], count: &mut [u32], touched: &mut Vec<usize>) {
+    for &j in members {
+        if count[j] == 0 {
+            touched.push(j);
+        }
+        count[j] += 1;
+    }
 }
 
 #[cfg(test)]

@@ -12,11 +12,16 @@
 //!   and recomputes SFE features only for the touched nodes. The result is
 //!   asserted **byte-identical** to [`extract_original_graphs`] (see
 //!   [`graphs_identical`] and `crates/core/tests/incremental_properties.rs`).
-//! * Compression and augmentation are pure per-slice functions, so derived
-//!   (compressed + augmented) graphs for *frozen* slices — every slice but
-//!   the last — are computed once and cached. Only the growing final slice
-//!   is re-derived, bounding per-tx work by the slice size instead of the
-//!   history length.
+//! * Compression and augmentation are pure per-slice functions.
+//!   [`IncrementalGraphs::derive`] runs them on one raw slice without
+//!   caching anything and takes `&self`, so a caller can derive many
+//!   slices on worker threads and drop each derived graph once used — the
+//!   chain follower does this for its stale slices, which it embeds once
+//!   and never reads again.
+//! * [`IncrementalGraphs::graphs`] serves the same derived graphs from a
+//!   cache: *frozen* slices — every slice but the last — are derived once,
+//!   and only the growing final slice is re-derived, bounding per-tx work
+//!   by the slice size instead of the history length.
 //! * [`FocusAggregates`] keeps O(1)-updatable scalar feature aggregates
 //!   (flows, event counts, activity span) for cheap gating and telemetry.
 //!
@@ -159,7 +164,7 @@ impl IncrementalGraphs {
     /// since the last call are re-derived.
     pub fn graphs(&mut self) -> &[AddressGraph] {
         for i in self.derived_clean..self.raw.len() {
-            let d = derive_slice(&self.cfg, &self.raw[i]);
+            let d = self.derive(i);
             if i < self.derived.len() {
                 self.derived[i] = d;
             } else {
@@ -170,26 +175,29 @@ impl IncrementalGraphs {
         self.derived.truncate(self.raw.len());
         &self.derived
     }
-}
 
-/// Run stages 2–4 on one raw slice, honoring the config's ablation flags.
-fn derive_slice(cfg: &ConstructionConfig, raw: &AddressGraph) -> AddressGraph {
-    let mut g = if cfg.compress {
-        let single = compress_single_tx(raw);
-        compress_multi_tx(
-            &single,
-            MultiCompressParams {
-                psi: cfg.psi,
-                sigma: cfg.sigma,
-            },
-        )
-    } else {
-        raw.clone()
-    };
-    if cfg.augment {
-        augment_with_centralities(&mut g);
+    /// Derive raw slice `i` (stages 2–4, honoring the config's ablation
+    /// flags) without touching the cache: equal to `graphs()[i]`, but pure,
+    /// so callers may run it on any thread and drop the result when done.
+    pub fn derive(&self, i: usize) -> AddressGraph {
+        let raw = &self.raw[i];
+        let mut g = if self.cfg.compress {
+            let single = compress_single_tx(raw);
+            compress_multi_tx(
+                &single,
+                MultiCompressParams {
+                    psi: self.cfg.psi,
+                    sigma: self.cfg.sigma,
+                },
+            )
+        } else {
+            raw.clone()
+        };
+        if self.cfg.augment {
+            augment_with_centralities(&mut g);
+        }
+        g
     }
-    g
 }
 
 /// Bitwise equality over graph lists — `Ok(())` or a description of the

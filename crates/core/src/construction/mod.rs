@@ -11,7 +11,7 @@ pub mod sfe;
 
 pub use address_graph::{AddressGraph, Edge, Node, NodeKind, Side};
 pub use augment::augment_with_centralities;
-pub use compress::{compress_multi_tx, compress_single_tx, MultiCompressParams};
+pub use compress::{compress_multi_tx, compress_single_tx, MultiCompressParams, NodeTxs};
 pub use extract::extract_original_graphs;
 pub use incremental::{graphs_identical, FocusAggregates, IncrementalGraphs};
 pub use pipeline::{construct_address_graphs, construct_dataset_graphs, StageTimings};

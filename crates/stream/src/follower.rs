@@ -3,8 +3,9 @@
 //!
 //! The follower consumes blocks in height order and maintains, for every
 //! tracked address, an append-only transaction history plus the incremental
-//! derived state from [`baclassifier::construction::incremental`] — slice
-//! graphs, feature aggregates, and a cache of per-slice GFN embeddings.
+//! derived state from [`baclassifier::construction::incremental`] — raw
+//! slice graphs, feature aggregates, and a cache of per-slice GFN
+//! embeddings.
 //! Applying a block only touches the addresses that transacted in it; no
 //! state is ever rebuilt from scratch. Dirty addresses are pushed through
 //! the classifier head on a configurable cadence, producing a continuously
@@ -21,7 +22,8 @@ use crate::feed::BlockFeed;
 use crate::journal::BlockJournal;
 use crate::metrics::StreamMetrics;
 use baclassifier::config::resolve_threads;
-use baclassifier::construction::{AddressGraph, FocusAggregates, IncrementalGraphs};
+use baclassifier::construction::{FocusAggregates, IncrementalGraphs};
+use baclassifier::parallel::parallel_map;
 use baclassifier::{ArtifactError, BaClassifier, ModelArtifact, ShardAssignment};
 use baserve::Engine;
 use btcsim::{Address, Block, Label, TxView};
@@ -384,16 +386,17 @@ impl Follower {
     ///
     /// The dirty set is processed as micro-batches on the deterministic
     /// replica machinery of `baclassifier::parallel`: every flip of an
-    /// address since the last tick coalesces into one unit of work, the
-    /// stale slice graphs of a whole batch are embedded together across
-    /// `reclass_threads` replica workers, and the capped embedding
+    /// address since the last tick coalesces into one unit of work; the
+    /// stale raw slices of a whole batch are derived (stages 2–4, via the
+    /// pure [`IncrementalGraphs::derive`], never cached) and then embedded
+    /// across `reclass_threads` workers; and the capped embedding
     /// sequences go through `classify_embeddings_batch` — each head
     /// replica runs its chunk as one ragged-batch LSTM forward pass
     /// (one fused-gate matmul per timestep over the still-active
     /// sequences). Labels and embeddings are byte-identical to the
-    /// per-address serial path at any thread count. Addresses are queued boundary-first: the smaller an
-    /// address's last label margin, the earlier it re-embeds (unclassified
-    /// addresses come first of all).
+    /// per-address serial path at any thread count. Addresses are queued
+    /// boundary-first: the smaller an address's last label margin, the
+    /// earlier it re-embeds (unclassified addresses come first of all).
     ///
     /// Addresses still under the `min_txs` threshold keep their dirty bit
     /// — they are deferred, not dropped, so a later cadence (or a restore
@@ -430,10 +433,11 @@ impl Follower {
         reclassified
     }
 
-    /// One micro-batch of the batched reclassification stage: gather every
-    /// member's stale slice graphs, embed them together on the replica
-    /// pool, scatter the embeddings back, then classify the capped
-    /// sequences together the same way.
+    /// One micro-batch of the batched reclassification stage: derive every
+    /// member's stale raw slices on the replica pool, embed them together
+    /// the same way, scatter the embeddings back, then classify the capped
+    /// sequences together. Derived graphs are dropped once embedded — the
+    /// follower never reads them again, so nothing caches them.
     fn reclassify_batch(
         &mut self,
         batch: &[(u64, Address)],
@@ -447,24 +451,26 @@ impl Follower {
         // Gather. Multiple flips of an address since the last tick appear
         // here once: the dirty bit is level-triggered, and the stale range
         // `embeds_clean..` covers every slice any of those flips touched.
-        let mut graphs: Vec<AddressGraph> = Vec::new();
+        let mut stale: Vec<(&IncrementalGraphs, usize)> = Vec::new();
         let mut stale_counts: Vec<usize> = Vec::with_capacity(batch.len());
         for &(_, addr) in batch {
-            let state = self.states.get_mut(&addr).expect("dirty address tracked");
-            state.dirty = false;
-            let all = state.inc.graphs();
-            let stale = &all[state.embeds_clean..];
-            stale_counts.push(stale.len());
-            graphs.extend_from_slice(stale);
+            let state = self.states.get(&addr).expect("dirty address tracked");
+            let slices = state.embeds_clean..state.inc.num_slices();
+            stale_counts.push(slices.len());
+            stale.extend(slices.map(|i| (&state.inc, i)));
         }
-        let total_slices = graphs.len() as u64;
+        let total_slices = stale.len() as u64;
 
-        // Embed the whole batch across the replica workers, then scatter
-        // the results back in gather order and cut the classify sequences.
+        // Derive and embed the whole batch across the replica workers
+        // (both order-preserving), then scatter the results back in gather
+        // order and cut the classify sequences.
+        let graphs = parallel_map(threads, &stale, || (), |_, &(inc, i)| inc.derive(i));
         let mut embedded = self.clf.embed_graphs(&graphs, threads).into_iter();
+        drop(graphs);
         let mut seqs: Vec<Vec<Matrix>> = Vec::with_capacity(batch.len());
         for (&(_, addr), &n) in batch.iter().zip(&stale_counts) {
             let state = self.states.get_mut(&addr).expect("dirty address tracked");
+            state.dirty = false;
             state.embeds.truncate(state.embeds_clean);
             state.embeds.extend(embedded.by_ref().take(n));
             state.embeds_clean = state.embeds.len();
@@ -932,6 +938,62 @@ pub(crate) mod tests {
             }
         }
         assert!(tiny_batches.metrics().reclass_batches > one_batch.metrics().reclass_batches);
+    }
+
+    #[test]
+    fn reclass_threads_do_not_change_labels_or_embeddings() {
+        // Stale slices are derived on the replica pool and never cached; at
+        // every thread count the derived tail must equal the cached
+        // `IncrementalGraphs::graphs()` path bit for bit, and the labels and
+        // embeddings must not move.
+        use baclassifier::construction::graphs_identical;
+        let blocks: Vec<Block> = BlockCursor::new(test_sim(53, 25)).collect();
+        let artifact = test_artifact();
+        let clf = BaClassifier::from_artifact(&artifact).unwrap();
+        let mut runs = Vec::new();
+        for threads in [1, 2, 4] {
+            let mut follower = Follower::new(
+                &artifact,
+                FollowerConfig {
+                    reclass_threads: threads,
+                    reclass_batch: 5,
+                    ..FollowerConfig::default()
+                },
+            )
+            .unwrap();
+            let mut checked_slices = 0;
+            for block in &blocks {
+                follower.ingest_block(block);
+                for state in follower.states.values().filter(|s| s.dirty) {
+                    let stale = state.embeds_clean..state.inc.num_slices();
+                    let derived: Vec<_> = stale.clone().map(|i| state.inc.derive(i)).collect();
+                    let mut cached = state.inc.clone();
+                    graphs_identical(&derived, &cached.graphs()[stale]).unwrap();
+                    checked_slices += derived.len();
+                }
+                follower.reclassify_dirty();
+            }
+            assert!(checked_slices > 0);
+            for state in follower.states.values().filter(|s| !s.embeds.is_empty()) {
+                let want = clf.embed_graphs(state.inc.clone().graphs(), 1);
+                assert_eq!(state.embeds.len(), want.len());
+                for (x, y) in state.embeds.iter().zip(&want) {
+                    assert_eq!(x.as_slice(), y.as_slice());
+                }
+            }
+            runs.push((follower.labels().clone(), follower.export_embeddings()));
+        }
+        for (labels, embeds) in &runs[1..] {
+            assert_eq!(labels, &runs[0].0);
+            assert_eq!(embeds.len(), runs[0].1.len());
+            for (addr, seq) in embeds {
+                let base = &runs[0].1[addr];
+                assert_eq!(seq.len(), base.len());
+                for (x, y) in seq.iter().zip(base) {
+                    assert_eq!(x.as_slice(), y.as_slice(), "embeddings for {addr:?}");
+                }
+            }
+        }
     }
 
     #[test]
